@@ -3,21 +3,11 @@
 * :mod:`repro.core.rewrite` — Algorithm 1: iterative CTE → step program.
 * :mod:`repro.core.recursive` — ANSI recursive CTEs (fixed point), with
   the aggregate restriction the paper motivates.
+
 The loop operator's termination evaluation and the program executor
-moved to :mod:`repro.runtime` (the unified loop runtime);
-:mod:`repro.core.loop` and :mod:`repro.core.runner` re-export them for
-compatibility.
+live in :mod:`repro.runtime` (the unified loop runtime).
 """
 
-from .loop import LoopState, count_changed_rows, should_continue
 from .rewrite import compile_statement
-from .runner import ProgramRunner, run_program
 
-__all__ = [
-    "LoopState",
-    "count_changed_rows",
-    "should_continue",
-    "compile_statement",
-    "ProgramRunner",
-    "run_program",
-]
+__all__ = ["compile_statement"]

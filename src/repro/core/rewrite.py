@@ -41,11 +41,8 @@ from ..plan import (
 )
 from ..plan.program import (
     CountUpdatesStep,
-    DeltaApplyStep,
     DeltaCaptureStep,
     DeltaFusedStep,
-    DeltaGateStep,
-    DeltaPartitionStep,
     DeltaSpec,
     DropStep,
     DuplicateCheckStep,
@@ -222,23 +219,23 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     state.loops[loop_id] = spec
 
     # -- semi-naive delta rewrite (when provably per-key independent) ------
-    delta_spec = None
-    delta_plan = None
+    fused = None
     if state.options.enable_delta_iteration:
         safety = analyze_iterative_delta(cte, columns, context.catalog)
         if safety is not None:
             partition = f"__part_{cte_name}_{suffix}"
-            delta_working = f"__dwork_{cte_name}_{suffix}"
-            delta_spec = DeltaSpec(
+            spec.delta = DeltaSpec(
                 loop_id=loop_id, cte_name=cte_name, cte_result=cte_result,
                 working=working, partition=partition,
-                delta_working=delta_working, key_column=key_column,
-                columns=columns, merge_by_key=has_where,
+                key_column=key_column, columns=columns,
+                merge_by_key=has_where,
                 influences=list(safety.influences),
                 guard_keyset=safety.guard_keyset)
-            spec.delta = delta_spec
-            delta_plan = _build_delta_step_plan(
-                state, cte, cte_name, binding, partition, columns, types)
+            fused = DeltaFusedStep(
+                spec.delta,
+                _build_delta_step_plan(state, cte, cte_name, binding,
+                                       partition, columns, types),
+                columns, dup_check=has_where)
 
     steps = state.steps
     steps.append(MaterializeStep(
@@ -248,34 +245,11 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     steps.append(InitLoopStep(spec))
 
     loop_start = len(steps)
-    fused = None
-    if delta_spec is not None and options.enable_delta_fusion:
-        # Fused shape: one batched columnar step replaces the
-        # gate/partition/materialize/dup-check/apply quintet.
-        fused = DeltaFusedStep(delta_spec, delta_plan, columns,
-                               dup_check=has_where)
+    if fused is not None:
         steps.append(fused)
         # Delta capture always needs the previous iteration to diff
         # against, even when the termination condition does not.
         fused.jump_full = len(steps)
-        steps.append(SnapshotStep(cte_result, previous))
-    elif delta_spec is not None:
-        gate = DeltaGateStep(delta_spec)
-        apply_step = DeltaApplyStep(delta_spec)
-        steps.append(gate)
-        steps.append(DeltaPartitionStep(delta_spec))
-        steps.append(MaterializeStep(
-            delta_spec.delta_working, delta_plan, columns,
-            comment=f"iterative part of {cte.name} over the affected "
-                    "partition"))
-        if has_where:
-            steps.append(DuplicateCheckStep(delta_spec.delta_working,
-                                            key_column))
-        steps.append(apply_step)
-        # Delta capture always needs the previous iteration to diff
-        # against, even when the termination condition does not.
-        gate.jump_full = len(steps)
-        apply_step.jump_full = gate.jump_full
         steps.append(SnapshotStep(cte_result, previous))
     elif needs_update_count:
         steps.append(SnapshotStep(cte_result, previous))
@@ -315,23 +289,18 @@ def _emit_iterative(cte: ast.IterativeCte, state: CompilerState,
     if needs_update_count:
         steps.append(CountUpdatesStep(previous, cte_result, key_column,
                                       loop_id))
-    if delta_spec is not None:
-        steps.append(DeltaCaptureStep(delta_spec, previous))
-        if fused is not None:
-            fused.jump_to = len(steps)
-            fused.jump_done = len(steps)
-        else:
-            apply_step.jump_to = len(steps)
-            gate.jump_done = len(steps)
+    if fused is not None:
+        steps.append(DeltaCaptureStep(spec.delta, previous))
+        fused.jump_to = len(steps)
+        fused.jump_done = len(steps)
     steps.append(IncrementLoopStep(loop_id))
     steps.append(LoopStep(loop_id, loop_start))
 
     state.temp_results.extend([cte_result, working])
-    if needs_update_count or delta_spec is not None:
+    if needs_update_count or fused is not None:
         state.temp_results.append(previous)
-    if delta_spec is not None:
-        state.temp_results.extend([delta_spec.partition,
-                                   delta_spec.delta_working])
+    if fused is not None:
+        state.temp_results.append(spec.delta.partition)
 
     # Later parts of the statement (including Qf) see the CTE as a
     # materialized result.

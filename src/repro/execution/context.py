@@ -59,7 +59,7 @@ class ExecutionStats:
     # Repack-on-overflow: the merge index rebuilt its bit packing with
     # wider per-column widths instead of falling back to a full rescan.
     merge_index_repacks: int = 0
-    # Iterations served by the semi-naive delta path (frontier-only
+    # Iterations served by the fused semi-naive delta step (frontier-only
     # recomputation) instead of a full working-table rebuild.
     delta_iterations: int = 0
     # Mid-loop strategy demotions: the loop engine abandoned delta mode
@@ -73,18 +73,6 @@ class ExecutionStats:
     # landed on observed the frontier collapsing again and handed the
     # loop back to a fresh semi-naive delta strategy.
     strategy_promotions: int = 0
-    # Iterations served by the fused delta pass (gate + partition +
-    # recompute + apply in one batched columnar step).
-    delta_fused_iterations: int = 0
-    # Morsel-driven parallelism: batches dispatched, batches that ran on
-    # the worker pool (vs. the single-threaded fallback), and rows
-    # processed through morsel-split operators.
-    morsel_batches: int = 0
-    morsel_parallel_batches: int = 0
-    morsel_rows: int = 0
-    # Per-morsel partials produced by the two-phase grouped-aggregate
-    # kernels (COUNT/SUM/AVG/MIN/MAX partial → final merge).
-    morsel_agg_batches: int = 0
     # Shared plan cache (repro.plan.cache): full hits skip parse→bind→
     # rewrite→compile; shape hits saw the statement family before but
     # with different constants (recompiled); invalidations are entries
@@ -177,21 +165,6 @@ class SessionOptions:
     enable_strategy_promotion: bool = True
     delta_promotion_threshold: float = 0.5
     delta_promotion_patience: int = 2
-    # Fuse the semi-naive delta quartet (gate/partition/apply plus the
-    # recompute materialization) into one batched columnar step, so a
-    # delta iteration costs a single dispatch instead of five.  The
-    # quartet emission remains available (fusion off) and both shapes
-    # pass the verifier's strategy-legality checks.
-    enable_delta_fusion: bool = True
-    # Morsel-driven parallelism: split large scans/filters/projections
-    # and join probes into fixed-size row chunks dispatched across a
-    # thread pool (NumPy kernels release the GIL).  Inputs smaller than
-    # `morsel_min_rows` stay on the single-threaded path — below the
-    # threshold the dispatch overhead exceeds the kernel work.
-    parallel_morsels: bool = False
-    morsel_size: int = 16_384
-    morsel_workers: int = 4
-    morsel_min_rows: int = 65_536
     # IR verifier (repro.verify): check schema/type propagation, step
     # CFG integrity, and strategy legality after building, after each
     # rewrite pass, and after compilation, raising VerificationError on

@@ -88,8 +88,7 @@ def build_probe_index(codes: np.ndarray
 
     Returns (sorted_codes, sorted_positions) with -1 (no-match) codes
     dropped — the shape :func:`equi_join_pairs` accepts as
-    ``right_sorted``.  Building it once lets many probe morsels share
-    one sorted build side.
+    ``right_sorted``.
     """
     valid = codes >= 0
     positions = np.nonzero(valid)[0]

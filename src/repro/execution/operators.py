@@ -41,14 +41,12 @@ from .context import ExecutionContext
 from .expressions import evaluate, evaluate_predicate
 from .frame import Frame
 from .kernels import (
-    build_probe_index,
     distinct_indices,
     encode_keys,
     equi_join_pairs,
     group_ids,
     sort_indices,
 )
-from .morsel import run_morsels
 
 
 def execute_plan(op: LogicalOp, ctx: ExecutionContext) -> Frame:
@@ -139,58 +137,24 @@ def _execute_values(op: LogicalValues) -> Frame:
 
 def _execute_filter_mask(op: LogicalFilter, child: Frame,
                          ctx: ExecutionContext) -> np.ndarray:
-    """The keep mask of a filter, morsel-split when the session opts in.
-
-    Predicates are elementwise, so evaluating per-morsel and
-    concatenating the masks in input order is bit-identical to the
-    single-shot evaluation.  Compilation happens once on the
-    coordinating thread; the compiled closure is pure and safe to call
-    from pool workers.
-    """
+    """The keep mask of a filter."""
     if ctx.options.enable_expr_compile:
         compiled = ctx.expr_cache.get(op.predicate, child.fields, id(op))
-
-        def keep_of(start: int, stop: int) -> np.ndarray:
-            return _predicate_from_column(compiled(child.slice(start, stop)))
-    else:
-        def keep_of(start: int, stop: int) -> np.ndarray:
-            return evaluate_predicate(op.predicate,
-                                      child.slice(start, stop))
-
-    chunks = run_morsels(ctx, child.num_rows, keep_of, label="filter")
-    if chunks is None:
-        return keep_of(0, child.num_rows)
-    return np.concatenate(chunks)
+        return _predicate_from_column(compiled(child))
+    return evaluate_predicate(op.predicate, child)
 
 
 def _execute_project(op: LogicalProject, child: Frame,
                      ctx: ExecutionContext | None = None) -> Frame:
     use_compiler = ctx is not None and ctx.options.enable_expr_compile
-    evaluators = []
+    columns = []
     for (expr, _name), field in zip(op.exprs, op.fields):
-        compiled = (ctx.expr_cache.get(expr, child.fields, id(op))
-                    if use_compiler else None)
-        evaluators.append((expr, compiled, field))
-
-    def project_chunk(start: int, stop: int) -> list[Column]:
-        chunk = child.slice(start, stop)
-        columns = []
-        for expr, compiled, field in evaluators:
-            column = compiled(chunk) if compiled is not None \
-                else evaluate(expr, chunk)
-            if column.sql_type is not field.sql_type \
-                    and field.sql_type is not SqlType.NULL:
-                column = column.cast(field.sql_type)
-            columns.append(column)
-        return columns
-
-    chunks = run_morsels(ctx, child.num_rows, project_chunk,
-                         label="project") if ctx is not None else None
-    if chunks is None:
-        return Frame(op.fields, project_chunk(0, child.num_rows),
-                     child.num_rows)
-    columns = [Column.concat_many([c[i] for c in chunks])
-               for i in range(len(evaluators))]
+        column = (ctx.expr_cache.get(expr, child.fields, id(op))(child)
+                  if use_compiler else evaluate(expr, child))
+        if column.sql_type is not field.sql_type \
+                and field.sql_type is not SqlType.NULL:
+            column = column.cast(field.sql_type)
+        columns.append(column)
     return Frame(op.fields, columns, child.num_rows)
 
 
@@ -299,23 +263,7 @@ def _equi_pairs(equi, left: Frame, right: Frame,
     right_keys = [evaluate(b, right) for _, b in equi]
     left_codes, right_codes, right_sorted = _encode_join_sides(
         left_keys, right_keys, ctx)
-    if ctx.options.parallel_morsels and right_sorted is None:
-        # Build the probe index once so every morsel shares it.
-        right_sorted = build_probe_index(right_codes)
-
-    def probe_chunk(start: int, stop: int):
-        pairs_left, pairs_right = equi_join_pairs(
-            left_codes[start:stop], right_codes, right_sorted)
-        return pairs_left + start, pairs_right
-
-    chunks = run_morsels(ctx, len(left_codes), probe_chunk,
-                         label="join-probe")
-    if chunks is None:
-        return equi_join_pairs(left_codes, right_codes, right_sorted)
-    # Per-morsel pairs are grouped by left row in left-row order, so
-    # concatenating in morsel order preserves the global pair order.
-    return (np.concatenate([c[0] for c in chunks]),
-            np.concatenate([c[1] for c in chunks]))
+    return equi_join_pairs(left_codes, right_codes, right_sorted)
 
 
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
@@ -484,7 +432,7 @@ def _execute_aggregate(op: LogicalAggregate, ctx: ExecutionContext) -> Frame:
         n_groups = 1
         key_slots = []
 
-    agg_slots = [compute_aggregate(spec.call, child, gids, n_groups, ctx)
+    agg_slots = [compute_aggregate(spec.call, child, gids, n_groups)
                  for spec in op.aggregates]
 
     internal_fields = internal_aggregate_fields(op, op.child.fields)

@@ -1,4 +1,4 @@
-"""Semi-naive delta evaluation: gate / partition / apply / capture.
+"""Semi-naive delta evaluation: the fused delta pass and the capture step.
 
 The handlers own the *mechanics* of the delta path; the decision of
 whether the loop should stay on it belongs to the
@@ -17,75 +17,16 @@ import numpy as np
 from ...errors import DuplicateKeyError, ExecutionError
 from ...execution import execute_to_table
 from ...execution.kernels import factorize, scatter_update
-from ...plan.program import (
-    DeltaApplyStep,
-    DeltaCaptureStep,
-    DeltaFusedStep,
-    DeltaGateStep,
-    DeltaPartitionStep,
-    DeltaSpec,
-)
+from ...plan.program import DeltaCaptureStep, DeltaFusedStep, DeltaSpec
 from ...storage import Table
 from ..registry import handles
 from ..strategies import DeltaLoopRuntime
 
 
-@handles(DeltaGateStep)
-def run_delta_gate(runner, step: DeltaGateStep) -> Optional[int]:
-    engine = runner.engine
-    runtime = engine.delta_runtime(step.spec)
-    if runtime.disabled or not runtime.active:
-        return step.jump_full
-    if runtime.frontier_keys is None or not len(runtime.frontier_keys):
-        # Empty frontier: no input of any key changed last iteration,
-        # so no output can change this iteration (or ever after) —
-        # this iteration costs O(1).
-        runtime.last_frontier = 0
-        if engine.counts_updates(step.spec.loop_id):
-            engine.record_updates(step.spec.loop_id, 0)
-        runner.ctx.stats.delta_iterations += 1
-        return step.jump_done
-    return None
-
-
-@handles(DeltaPartitionStep)
-def run_delta_partition(runner, step: DeltaPartitionStep) -> Optional[int]:
-    ctx = runner.ctx
-    spec = step.spec
-    runtime = runner.engine.delta_runtime(spec)
-    frontier = runtime.frontier_keys
-    # A changed key always influences itself (its own row is
-    # recomputed); links add the keys reachable through base tables.
-    position_sets = [_key_positions_of(runtime, frontier, strict=True)]
-    for link in spec.influences:
-        influenced = _expand_influence(runner, runtime, link, frontier)
-        position_sets.append(
-            _key_positions_of(runtime, influenced, strict=False))
-    positions = np.unique(np.concatenate(position_sets))
-    table = ctx.registry.fetch(spec.cte_result)
-    partition = table.take(positions)
-    ctx.registry.store(spec.partition, partition)
-    runtime.pending_positions = positions
-    ctx.stats.rows_moved += int(len(positions))
-    ctx.stats.bytes_moved += partition.nbytes()
-    return None
-
-
-@handles(DeltaApplyStep)
-def run_delta_apply(runner, step: DeltaApplyStep) -> int:
-    ctx = runner.ctx
-    spec = step.spec
-    runtime = runner.engine.delta_runtime(spec)
-    working = ctx.registry.fetch(spec.delta_working)
-    return _apply_delta(runner, spec, runtime, working,
-                        step.jump_to, step.jump_full)
-
-
 def _apply_delta(runner, spec: DeltaSpec, runtime: DeltaLoopRuntime,
                  working: Table, jump_to: int, jump_full: int) -> int:
     """Scatter the recomputed partition back by key and derive the next
-    frontier — the shared back half of the quartet's apply step and the
-    fused delta pass."""
+    frontier: the apply phase of the fused delta pass."""
     from ...execution.kernel_cache import _comparable_values
 
     ctx = runner.ctx
@@ -155,13 +96,12 @@ def _apply_delta(runner, spec: DeltaSpec, runtime: DeltaLoopRuntime,
 
 @handles(DeltaFusedStep)
 def run_delta_fused(runner, step: DeltaFusedStep) -> int:
-    """The fused semi-naive delta pass: gate, partition, recompute,
+    """The semi-naive delta pass: gate, partition, recompute,
     duplicate check and apply in one batched columnar dispatch.
 
-    Control flow is identical to the quartet (same three jump targets,
-    same O(1) empty-frontier short-circuit, same keyset-guard fallback);
-    the fusion saves four step dispatches and the registry round-trips
-    between them per delta iteration.
+    Three exits: ``jump_full`` (delta state missing or invalid, or the
+    keyset guard tripped), ``jump_done`` (empty frontier, O(1)), and
+    ``jump_to`` after a successful delta iteration.
     """
     ctx = runner.ctx
     engine = runner.engine
@@ -179,7 +119,6 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
         if engine.counts_updates(spec.loop_id):
             engine.record_updates(spec.loop_id, 0)
         ctx.stats.delta_iterations += 1
-        ctx.stats.delta_fused_iterations += 1
         return step.jump_done
 
     # -- partition ----------------------------------------------------------
@@ -200,7 +139,6 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
 
     # -- recompute the affected partition through the delta body ------------
     working = execute_to_table(step.plan, ctx, step.column_names)
-    ctx.registry.store(spec.delta_working, working)
 
     # -- duplicate check (merge-by-key bodies only) -------------------------
     if step.dup_check:
@@ -214,11 +152,8 @@ def run_delta_fused(runner, step: DeltaFusedStep) -> int:
                 "them (paper §II)")
 
     # -- apply --------------------------------------------------------------
-    jump = _apply_delta(runner, spec, runtime, working,
+    return _apply_delta(runner, spec, runtime, working,
                         step.jump_to, step.jump_full)
-    if jump == step.jump_to:
-        ctx.stats.delta_fused_iterations += 1
-    return jump
 
 
 @handles(DeltaCaptureStep)

@@ -79,9 +79,9 @@ class DeltaLoopRuntime:
     """Mutable per-loop state for the semi-naive delta path.
 
     Created when the loop initializes (or by the first
-    :class:`DeltaGateStep` execution), populated by
+    :class:`DeltaFusedStep` execution), populated by
     :class:`DeltaCaptureStep` after a full iteration, consumed and updated
-    by the partition/apply steps on every delta iteration.
+    by the fused delta step on every delta iteration.
     """
 
     __slots__ = ("spec", "active", "disabled", "demoted", "schema",

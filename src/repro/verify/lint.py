@@ -1,6 +1,6 @@
 """Engine lint: AST-based repo-specific rules (the ``repro-lint`` CLI).
 
-Five rule families, each encoding a convention a refactor established
+Four rule families, each encoding a convention a refactor established
 but nothing enforced:
 
 * **handler-coverage** — every ``Step`` subclass declared in
@@ -13,9 +13,6 @@ but nothing enforced:
   catalog only through read accessors (get/peek/exists); private
   attribute access on either would bypass the accounting (renames,
   bytes released, metadata lookups) the overhead model reads.
-* **deprecated-import** — no source module imports the deprecated
-  ``repro.core.runner`` internals; the compat shims themselves (and the
-  ``repro.core`` package exports) are the only exception.
 * **tracer-discipline** — span trees are built only through
   :mod:`repro.obs`: no ``Tracer()``/``Span()`` construction outside the
   known entry points, and every ``tracer.start(...)`` call sits under an
@@ -74,13 +71,6 @@ _SESSION_SCOPED_ATTRS = frozenset({
     "last_snapshot",
     "snapshot",
 })
-
-# The compat shims re-export the deprecated names on purpose.
-_DEPRECATED_IMPORT_EXEMPT = (
-    "core/__init__.py",
-    "core/runner.py",
-    "core/loop.py",
-)
 
 _REGISTRY_API = frozenset({"store", "fetch", "exists", "rename", "drop"})
 _CATALOG_API = frozenset({"get", "peek", "exists"})
@@ -214,33 +204,7 @@ class Linter:
                                "read-only accessors handlers may use "
                                f"({'/'.join(sorted(_CATALOG_API))})")
 
-    # -- rule 3: deprecated imports ----------------------------------------
-
-    def check_deprecated_imports(self) -> None:
-        for path, module in self._trees.items():
-            rel = self._rel(path)
-            if any(rel.endswith(exempt)
-                   for exempt in _DEPRECATED_IMPORT_EXEMPT):
-                continue
-            for node in ast.walk(module):
-                if isinstance(node, ast.ImportFrom):
-                    name = node.module or ""
-                    if name == "core.runner" \
-                            or name.endswith(".core.runner"):
-                        self._note(path, node.lineno, "deprecated-import",
-                                   "imports the deprecated "
-                                   "repro.core.runner shim; use "
-                                   "repro.runtime instead")
-                elif isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if alias.name.endswith("core.runner"):
-                            self._note(path, node.lineno,
-                                       "deprecated-import",
-                                       "imports the deprecated "
-                                       "repro.core.runner shim; use "
-                                       "repro.runtime instead")
-
-    # -- rule 4: tracer discipline -----------------------------------------
+    # -- rule 3: tracer discipline -----------------------------------------
 
     def _in_obs(self, path: Path) -> bool:
         return self._rel(path).startswith("obs/")
@@ -295,7 +259,7 @@ class Linter:
             cursor = parents.get(cursor)
         return False
 
-    # -- rule 5: engine layering -------------------------------------------
+    # -- rule 4: engine layering -------------------------------------------
 
     def check_engine_layering(self) -> None:
         """The shared Engine must not hold (or structurally depend on)
@@ -337,7 +301,6 @@ class Linter:
     def run(self) -> list[LintIssue]:
         self.check_handler_coverage()
         self.check_mutation_api()
-        self.check_deprecated_imports()
         self.check_tracer_discipline()
         self.check_engine_layering()
         return self.issues
@@ -356,8 +319,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="AST-based engine lint (handler coverage, mutation "
-                    "API, deprecated imports, tracer discipline, "
-                    "engine layering).")
+                    "API, tracer discipline, engine layering).")
     parser.add_argument("--root", type=Path, default=None,
                         help="package root to lint (default: the "
                              "installed repro package)")
@@ -371,7 +333,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"repro-lint: {len(issues)} issue(s) in "
               f"{linter.file_count} files")
         return 1
-    print(f"repro-lint: ok ({linter.file_count} files, 5 rule families)")
+    print(f"repro-lint: ok ({linter.file_count} files, 4 rule families)")
     return 0
 
 

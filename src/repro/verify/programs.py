@@ -1,8 +1,9 @@
 """Step-program verifier: control-flow, dataflow and strategy invariants.
 
 A compiled :class:`repro.plan.program.Program` is a small CFG: most steps
-fall through, ``LoopStep`` may jump backward, and the delta steps carry
-forward jumps (gate → full body / done, apply → increment / full body).
+fall through, ``LoopStep`` may jump backward, and the fused delta step
+jumps forward (to the full body, past it when the frontier is empty, or
+to the loop increment after a delta iteration).
 This module checks the invariants every emitter and rewrite must
 preserve:
 
@@ -15,10 +16,10 @@ preserve:
   path (must-defined analysis over the CFG; ``RenameStep``/``CopyStep``
   kill their source), every ``SnapshotStep`` is consumed downstream, and
   ``DropStep`` never kills a live name (backward liveness);
-* **strategy legality** — semi-naive delta programs carry either the
-  gate/partition/apply/capture quartet in order with consistent jump
-  targets, or (fusion on) a single ``DeltaFusedStep`` paired with the
-  capture step and the same three jump targets; rename-in-place only
+* **strategy legality** — a semi-naive delta loop carries exactly one
+  ``DeltaFusedStep`` before exactly one ``DeltaCaptureStep``, with jump
+  targets that enter the full body before the capture step and leave
+  past it; rename-in-place only
   moves a table straight onto the CTE name when the body has no WHERE
   clause (WHERE bodies must move the *merge* result, built from the
   duplicate-checked working table);
@@ -36,11 +37,8 @@ from ..plan.logical import LogicalOp, LogicalTempScan
 from ..plan.program import (
     CopyStep,
     CountUpdatesStep,
-    DeltaApplyStep,
     DeltaCaptureStep,
     DeltaFusedStep,
-    DeltaGateStep,
-    DeltaPartitionStep,
     DropStep,
     DuplicateCheckStep,
     IncrementLoopStep,
@@ -109,27 +107,16 @@ def _step_flow(step: Step) -> _Flow:
                                 step.candidate.lower()}),
                      frozenset({step.result.lower(),
                                 step.working.lower()}), _EMPTY)
-    if isinstance(step, DeltaPartitionStep):
-        return _Flow(frozenset({step.spec.cte_result.lower()}),
-                     frozenset({step.spec.partition.lower()}), _EMPTY)
-    if isinstance(step, DeltaApplyStep):
-        return _Flow(frozenset({step.spec.delta_working.lower(),
-                                step.spec.cte_result.lower()}),
-                     frozenset({step.spec.cte_result.lower()}), _EMPTY)
     if isinstance(step, DeltaFusedStep):
         # One batched pass: reads the CTE table (and whatever temp
-        # results the delta body scans), defines the partition, the
-        # recomputed delta-working rows, and the merged CTE table.  The
-        # delta body's anchor scan reads the partition this same step
-        # defines internally, so it is excluded from the reads.
-        defines = frozenset({step.spec.cte_result.lower(),
-                             step.spec.partition.lower(),
-                             step.spec.delta_working.lower()})
-        reads = (frozenset({step.spec.cte_result.lower()})
-                 | _plan_temp_reads(step.plan)) \
-            - frozenset({step.spec.partition.lower(),
-                         step.spec.delta_working.lower()})
-        return _Flow(reads, defines, _EMPTY)
+        # results the delta body scans), defines the partition and the
+        # merged CTE table.  The delta body's anchor scan reads the
+        # partition this same step defines internally, so it is excluded
+        # from the reads.
+        partition = frozenset({step.spec.partition.lower()})
+        cte = frozenset({step.spec.cte_result.lower()})
+        reads = (cte | _plan_temp_reads(step.plan)) - partition
+        return _Flow(reads, cte | partition, _EMPTY)
     if isinstance(step, DeltaCaptureStep):
         return _Flow(frozenset({step.spec.cte_result.lower(),
                                 step.previous.lower()}), _EMPTY, _EMPTY)
@@ -165,10 +152,6 @@ class ProgramChecker:
         n = len(self.steps)
         if isinstance(step, LoopStep):
             succ = [step.jump_to, index + 1]
-        elif isinstance(step, DeltaGateStep):
-            succ = [index + 1, step.jump_full, step.jump_done]
-        elif isinstance(step, DeltaApplyStep):
-            succ = [step.jump_to, step.jump_full]
         elif isinstance(step, DeltaFusedStep):
             # Never falls through: full body, done, or applied.
             succ = [step.jump_to, step.jump_full, step.jump_done]
@@ -179,12 +162,6 @@ class ProgramChecker:
     def _jump_targets(self, step: Step) -> list[tuple[str, int]]:
         if isinstance(step, LoopStep):
             return [("jump_to", step.jump_to)]
-        if isinstance(step, DeltaGateStep):
-            return [("jump_full", step.jump_full),
-                    ("jump_done", step.jump_done)]
-        if isinstance(step, DeltaApplyStep):
-            return [("jump_to", step.jump_to),
-                    ("jump_full", step.jump_full)]
         if isinstance(step, DeltaFusedStep):
             return [("jump_to", step.jump_to),
                     ("jump_full", step.jump_full),
@@ -443,7 +420,7 @@ class ProgramChecker:
             elif spec.termination is not None:
                 self._check_iterative_body(spec, body, loop_idx)
             if spec.delta is not None:
-                self._check_delta_quartet(spec, body, loop_idx)
+                self._check_delta(spec.delta, body, loop_idx)
 
     def _check_fixpoint_body(self, spec, body: range) -> None:
         self.checks += 1
@@ -484,11 +461,8 @@ class ProgramChecker:
         the *merge* of the duplicate-checked working table into the main
         table, never the working table itself (rename-in-place is only
         legal for full-dataset updates — §VI-A)."""
-        delta_working = (spec.delta.delta_working.lower()
-                         if spec.delta is not None else None)
         checked = {self.steps[i].result_name.lower() for i in body
-                   if isinstance(self.steps[i], DuplicateCheckStep)
-                   and self.steps[i].result_name.lower() != delta_working}
+                   if isinstance(self.steps[i], DuplicateCheckStep)}
         self.checks += 1
         if not checked:
             self._note(move_idx, f"loop {spec.loop_id} has a WHERE body "
@@ -513,127 +487,28 @@ class ProgramChecker:
                                  "the duplicate-checked working table "
                                  "(rename-in-place needs a no-WHERE body)")
 
-    def _check_delta_quartet(self, spec, body: range,
-                             loop_idx: int) -> None:
-        delta = spec.delta
+    def _check_delta(self, delta, body: range, loop_idx: int) -> None:
+        """Exactly one DeltaFusedStep paired with the capture step: it
+        enters the full body before the capture, and both its done and
+        applied exits skip past the capture to the loop increment."""
         fused = [i for i in body
                  if isinstance(self.steps[i], DeltaFusedStep)
                  and self.steps[i].spec.loop_id == delta.loop_id]
-        if fused:
-            self._check_delta_fused(delta, body, loop_idx, fused)
-            return
-        found: dict[type, int] = {}
-        for i in body:
-            step = self.steps[i]
-            if isinstance(step, (DeltaGateStep, DeltaPartitionStep,
-                                 DeltaApplyStep, DeltaCaptureStep)) \
-                    and step.spec.loop_id == delta.loop_id:
-                if type(step) in found:
-                    self._note(i, f"duplicate {type(step).__name__} for "
-                                  f"loop {delta.loop_id}")
-                found[type(step)] = i
-        self.checks += 1
-        missing = [cls.__name__ for cls in
-                   (DeltaGateStep, DeltaPartitionStep, DeltaApplyStep,
-                    DeltaCaptureStep) if cls not in found]
-        if missing:
-            self.violations.append(
-                f"delta loop {delta.loop_id} is missing "
-                f"{', '.join(missing)} (gate/partition/apply/capture "
-                "must all be present)")
-            return
-        gate_i = found[DeltaGateStep]
-        part_i = found[DeltaPartitionStep]
-        apply_i = found[DeltaApplyStep]
-        capture_i = found[DeltaCaptureStep]
-        self.checks += 1
-        if not (gate_i < part_i < apply_i < capture_i):
-            self.violations.append(
-                f"delta loop {delta.loop_id} quartet out of order: "
-                f"gate={gate_i + 1}, partition={part_i + 1}, "
-                f"apply={apply_i + 1}, capture={capture_i + 1}")
-            return
-        self.checks += 1
-        if part_i != gate_i + 1:
-            self._note(gate_i, "gate must fall through into the "
-                               "partition step")
-        self.checks += 1
-        recompute = next(
-            (i for i in range(part_i + 1, apply_i)
-             if isinstance(self.steps[i], MaterializeStep)
-             and self.steps[i].result_name.lower()
-             == delta.delta_working.lower()),
-            None)
-        if recompute is None:
-            self._note(apply_i, f"no materialization of "
-                                f"{delta.delta_working!r} between "
-                                "partition and apply")
-        else:
-            self.checks += 1
-            names = [c.lower() for c in self.steps[recompute].column_names]
-            if names != [c.lower() for c in delta.columns]:
-                self._note(recompute, "delta-working columns diverge "
-                                      "from the DeltaSpec's column list")
-            if delta.merge_by_key:
-                self.checks += 1
-                if not any(isinstance(self.steps[i], DuplicateCheckStep)
-                           and self.steps[i].result_name.lower()
-                           == delta.delta_working.lower()
-                           for i in range(recompute + 1, apply_i)):
-                    self._note(apply_i, "merge-by-key delta lacks a "
-                                        "DuplicateCheckStep on the "
-                                        "recomputed partition")
-        gate = self.steps[gate_i]
-        apply_step = self.steps[apply_i]
-        self.checks += 1
-        if gate.jump_full != apply_step.jump_full:
-            self._note(gate_i, f"gate jump_full ({gate.jump_full + 1}) "
-                               "and apply jump_full "
-                               f"({apply_step.jump_full + 1}) diverge")
-        self.checks += 1
-        if not (apply_i < gate.jump_full <= capture_i):
-            self._note(gate_i, f"jump_full ({gate.jump_full + 1}) must "
-                               "enter the full body between apply and "
-                               "capture")
-        self.checks += 1
-        if gate.jump_done != apply_step.jump_to:
-            self._note(gate_i, f"gate jump_done ({gate.jump_done + 1}) "
-                               "and apply jump_to "
-                               f"({apply_step.jump_to + 1}) diverge")
-        self.checks += 1
-        if not (capture_i < gate.jump_done <= loop_idx):
-            self._note(gate_i, f"jump_done ({gate.jump_done + 1}) must "
-                               "skip past the capture step")
-
-    def _check_delta_fused(self, delta, body: range, loop_idx: int,
-                           fused: list[int]) -> None:
-        """Fusion-on shape: exactly one DeltaFusedStep paired with the
-        capture step, none of the quartet steps, and the same three jump
-        targets the gate/apply pair would carry."""
         self.checks += 1
         if len(fused) != 1:
-            for i in fused[1:]:
-                self._note(i, f"duplicate DeltaFusedStep for loop "
-                              f"{delta.loop_id}")
+            self.violations.append(
+                f"delta loop {delta.loop_id} has {len(fused)} "
+                "DeltaFusedSteps, expected exactly 1")
             return
         fused_i = fused[0]
         step = self.steps[fused_i]
-        self.checks += 1
-        leftovers = [i for i in body
-                     if isinstance(self.steps[i],
-                                   (DeltaGateStep, DeltaPartitionStep,
-                                    DeltaApplyStep))
-                     and self.steps[i].spec.loop_id == delta.loop_id]
-        for i in leftovers:
-            self._note(i, f"{type(self.steps[i]).__name__} coexists with "
-                          f"the fused delta pass of loop {delta.loop_id}")
         captures = [i for i in body
                     if isinstance(self.steps[i], DeltaCaptureStep)
                     and self.steps[i].spec.loop_id == delta.loop_id]
         self.checks += 1
         if len(captures) != 1:
             self.violations.append(
-                f"fused delta loop {delta.loop_id} has {len(captures)} "
+                f"delta loop {delta.loop_id} has {len(captures)} "
                 "DeltaCaptureSteps, expected exactly 1")
             return
         capture_i = captures[0]

@@ -4,16 +4,12 @@ Each kernel is checked against a deliberately naive row-at-a-time
 reference implementation over the same inputs — NULL-heavy, empty, and
 single-row columns included — so the vectorized paths must be
 bit-identical to first-principles row semantics, not merely
-self-consistent.  A second family of tests drives whole queries through
-the morsel scheduler at several chunk sizes (including degenerate
-1-row morsels) and asserts results never depend on morsel boundaries.
+self-consistent.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine.database import Database
-from repro.execution import SessionOptions
 from repro.execution.kernels import (
     build_probe_index,
     distinct_indices,
@@ -232,73 +228,3 @@ class TestSort:
 
     def test_empty(self):
         assert sort_indices([ints()], [True]).tolist() == []
-
-
-# -- morsel boundaries ---------------------------------------------------
-
-MORSEL_SQL = """
-SELECT e.src, e.dst, n.label, e.weight * 2.0 AS w2
-FROM edges e JOIN nodes n ON e.dst = n.id
-WHERE e.weight > 0.3
-ORDER BY e.src, e.dst"""
-
-
-def _morsel_db(**options) -> Database:
-    rng = np.random.default_rng(17)
-    db = Database(SessionOptions(**options))
-    db.create_table("edges", [("src", SqlType.INTEGER),
-                              ("dst", SqlType.INTEGER),
-                              ("weight", SqlType.FLOAT)])
-    db.create_table("nodes", [("id", SqlType.INTEGER),
-                              ("label", SqlType.TEXT)])
-    db.load_rows("edges", [
-        (int(rng.integers(1, 60)), int(rng.integers(1, 60)),
-         round(float(rng.uniform(0, 1)), 6))
-        for _ in range(500)])
-    db.load_rows("nodes", [(i, f"n{i}") for i in range(1, 60)])
-    return db
-
-
-class TestMorselBoundaries:
-    def test_results_independent_of_chunk_size(self):
-        baseline = _morsel_db(parallel_morsels=False) \
-            .execute(MORSEL_SQL).rows()
-        assert len(baseline) > 0
-        for morsel_size in (1, 3, 64, 100_000):
-            db = _morsel_db(parallel_morsels=True,
-                            morsel_size=morsel_size,
-                            morsel_workers=3, morsel_min_rows=0)
-            assert db.execute(MORSEL_SQL).rows() == baseline, (
-                f"morsel_size={morsel_size} changed query results")
-            if morsel_size < 500:
-                assert db.stats.morsel_batches > 0
-            else:
-                # Everything fits one chunk: the scheduler must step
-                # aside entirely rather than pay dispatch overhead.
-                assert db.stats.morsel_batches == 0
-
-    def test_parallel_dispatch_engages_above_threshold(self):
-        db = _morsel_db(parallel_morsels=True, morsel_size=64,
-                        morsel_workers=3, morsel_min_rows=0)
-        db.execute(MORSEL_SQL)
-        assert db.stats.morsel_parallel_batches > 0
-        assert db.stats.morsel_rows > 0
-
-    def test_iterative_delta_path_unaffected_by_morsels(self):
-        from repro.workloads import sssp_query
-        from tests.conftest import SMALL_EDGES
-
-        def graph(**options):
-            db = Database(SessionOptions(enable_delta_iteration=True,
-                                         **options))
-            db.create_table("edges", [("src", SqlType.INTEGER),
-                                      ("dst", SqlType.INTEGER),
-                                      ("weight", SqlType.FLOAT)])
-            db.load_rows("edges", SMALL_EDGES)
-            return db
-
-        sql = sssp_query(source=1, iterations=6)
-        plain = graph().execute(sql).rows()
-        morsels = graph(parallel_morsels=True, morsel_size=2,
-                        morsel_workers=2, morsel_min_rows=0)
-        assert morsels.execute(sql).rows() == plain

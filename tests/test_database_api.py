@@ -53,8 +53,13 @@ class TestOptions:
         assert db.options.enable_rename is False
 
     def test_unknown_option(self, db):
-        with pytest.raises(ReproError):
-            db.set_option("enable_warp_drive", True)
+        # Names of options the engine used to have must fail the same
+        # way as names it never had.
+        for name in ("enable_warp_drive", "enable_delta_fusion",
+                     "parallel_morsels", "morsel_size", "morsel_workers",
+                     "morsel_min_rows"):
+            with pytest.raises(ReproError, match="unknown session option"):
+                db.set_option(name, True)
 
     def test_options_object_injection(self):
         from repro.engine import SessionOptions

@@ -13,11 +13,7 @@ import pytest
 from repro.datasets import dblp_like, generate_edges
 from repro.engine.database import Database
 from repro.execution import SessionOptions
-from repro.plan.program import (
-    DeltaApplyStep,
-    DeltaFusedStep,
-    DeltaGateStep,
-)
+from repro.plan.program import DeltaFusedStep
 from repro.types import SqlType
 from repro.workloads import (
     ff_query,
@@ -128,29 +124,15 @@ class TestProgramShape:
 
     def test_fused_delta_step_emitted_when_safe_and_enabled(self):
         program = self._program(sssp_query(source=1, iterations=5), True)
-        kinds = [type(step) for step in program.steps]
-        assert DeltaFusedStep in kinds
-        assert DeltaGateStep not in kinds
-        assert DeltaApplyStep not in kinds
-        fused = next(s for s in program.steps
-                     if isinstance(s, DeltaFusedStep))
-        assert fused.jump_full > 0 and fused.jump_to > fused.jump_full
-        assert fused.jump_to == fused.jump_done
-
-    def test_quartet_emitted_when_fusion_disabled(self):
-        program = self._program(sssp_query(source=1, iterations=5), True,
-                                enable_delta_fusion=False)
-        kinds = [type(step) for step in program.steps]
-        assert DeltaGateStep in kinds
-        assert DeltaApplyStep in kinds
-        assert DeltaFusedStep not in kinds
-        gate = next(s for s in program.steps
-                    if isinstance(s, DeltaGateStep))
-        assert gate.jump_full > 0 and gate.jump_done > gate.jump_full
+        fused = [s for s in program.steps if isinstance(s, DeltaFusedStep)]
+        assert len(fused) == 1
+        assert fused[0].jump_full > 0
+        assert fused[0].jump_to > fused[0].jump_full
+        assert fused[0].jump_to == fused[0].jump_done
 
     def test_no_delta_steps_when_disabled(self):
         program = self._program(sssp_query(source=1, iterations=5), False)
-        assert not any(isinstance(step, DeltaGateStep)
+        assert not any(isinstance(step, DeltaFusedStep)
                        for step in program.steps)
 
     def test_unsafe_step_query_falls_back(self):
@@ -162,7 +144,7 @@ class TestProgramShape:
           UNTIL 3 ITERATIONS
         ) SELECT node, v FROM r"""
         program = self._program(sql, True)
-        assert not any(isinstance(step, DeltaGateStep)
+        assert not any(isinstance(step, DeltaFusedStep)
                        for step in program.steps)
         full, delta, db = both_modes(sql)
         assert full == delta

@@ -97,18 +97,6 @@ class TestSeededViolations:
         issues = run_lint(_tree(tmp_path, files))
         assert _rules(issues) == {"mutation-api"}
 
-    def test_deprecated_import_detected(self, tmp_path):
-        files = dict(_CLEAN)
-        files["engine/database.py"] = \
-            "from .core.runner import run_program\n"
-        issues = run_lint(_tree(tmp_path, files))
-        assert _rules(issues) == {"deprecated-import"}
-
-    def test_compat_shim_is_exempt(self, tmp_path):
-        files = dict(_CLEAN)
-        files["core/loop.py"] = "from .core.runner import run_program\n"
-        assert run_lint(_tree(tmp_path, files)) == []
-
     def test_bare_tracer_construction_detected(self, tmp_path):
         files = dict(_CLEAN)
         files["execution/helper.py"] = """

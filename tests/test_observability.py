@@ -193,7 +193,7 @@ class TestExplainAnalyze:
 class TestRunnerSnapshotHygiene:
     def test_profiles_reset_between_runs(self, graph_db):
         from repro.core.rewrite import compile_statement
-        from repro.core.runner import ProgramRunner
+        from repro.runtime import ProgramRunner
         from repro.plan import PlanContext
         from repro.sql import parse
 

@@ -10,9 +10,12 @@ slowdown trips it (the acceptance criterion for the regression gate).
 from __future__ import annotations
 
 import json
+import statistics
 
 import pytest
 
+from repro.harness import perfgate
+from repro.harness.experiment import Measurement
 from repro.harness.perfgate import main as perfgate_main
 from repro.obs.ledger import (
     CheckResult,
@@ -172,7 +175,33 @@ class TestPerfGateEndToEnd:
     def _run(self, ledger, *argv):
         return perfgate_main(["--ledger", str(ledger), *argv])
 
-    def test_record_then_clean_check_then_seeded_regression(self, tmp_path):
+    def test_record_then_clean_check_then_seeded_regression(
+            self, tmp_path, monkeypatch):
+        # The gate's logic under a fake clock: every repeat reports the
+        # same fixed sample plus whatever the run asked ``time.sleep``
+        # for, so ``--slowdown`` moves the samples by exactly its seconds
+        # and the verdicts cannot depend on host load.  The wall-clock
+        # gate runs in CI's perf-gate job and scripts/check_perf_gate.sh.
+        slept = [0.0]
+        monkeypatch.setattr(perfgate.time, "sleep",
+                            lambda seconds: slept.__setitem__(
+                                0, slept[0] + seconds))
+
+        class NoOpDatabase:
+            def execute(self, sql):
+                return None
+
+        def fake_time_fresh(label, setup, run, repeats=3, warmup=1,
+                            teardown=None):
+            samples = []
+            for sample in [0.100, 0.102, 0.101][:repeats]:
+                slept[0] = 0.0
+                run(NoOpDatabase())
+                samples.append(sample + slept[0])
+            return Measurement(label, statistics.median(samples), repeats,
+                               samples)
+
+        monkeypatch.setattr(perfgate, "time_fresh", fake_time_fresh)
         ledger = tmp_path / "PERF_LEDGER.jsonl"
         args = ["--repeats", "3", "-w", "reach_fixpoint"]
 

@@ -171,6 +171,29 @@ class TestAggregation:
         db.load_rows("t", [(None,), (None,)])
         assert rows(db, "SELECT SUM(x), COUNT(*) FROM t") == [(None, 2)]
 
+    def test_null_only_group(self, db):
+        db.execute("CREATE TABLE staff (dept int, salary float)")
+        db.load_rows("staff", [(1, 2.0), (1, None), (1, 4.0),
+                               (99, None), (99, None)])
+        result = rows(db, "SELECT dept, COUNT(*), COUNT(salary), "
+                          "SUM(salary), AVG(salary), MIN(salary), "
+                          "MAX(salary) FROM staff GROUP BY dept "
+                          "ORDER BY dept")
+        # Every aggregate but COUNT(*) goes NULL/0 for the group whose
+        # inputs are all NULL.
+        assert result == [(1, 3, 2, 6.0, 3.0, 2.0, 4.0),
+                          (99, 2, 0, None, None, None, None)]
+
+    def test_integer_aggregates_and_count_distinct(self, db):
+        db.execute("CREATE TABLE t (g int, x int)")
+        db.load_rows("t", [(1, 5), (1, 5), (1, -3), (1, None),
+                           (2, 7), (2, 7)])
+        result = rows(db, "SELECT g, SUM(x), COUNT(DISTINCT x), MIN(x), "
+                          "MAX(x) FROM t GROUP BY g ORDER BY g")
+        assert result == [(1, 7, 2, -3, 5), (2, 14, 1, 7, 7)]
+        assert all(isinstance(value, int)
+                   for row in result for value in row)
+
     def test_expression_over_aggregates(self, people_db):
         result = rows(people_db,
                       "SELECT MAX(age) - MIN(age) FROM people")

@@ -24,7 +24,7 @@ from repro.plan.program import CopyStep, DropStep
 from repro.sql import ast, parse
 from repro.types import SqlType
 from repro.verify import check_plan, check_program, verify_program
-from repro.workloads import sssp_query
+from repro.workloads import pagerank_query, sssp_query
 
 EDGES = generate_edges(dblp_like(nodes=60, seed=3))
 
@@ -61,18 +61,17 @@ def _compile(db, sql):
 
 
 def _fresh(shape):
-    """(program, catalog) for one of the four program shapes, compiled
+    """(program, catalog) for one of the program shapes, compiled
     fresh so mutations never leak between tests."""
     if shape == "iterative":
         db = _graph_db(enable_delta_iteration=False)
         sql = sssp_query(source=1, iterations=5)
     elif shape == "delta":
-        # The quartet shape: fusion off keeps the five-step delta block
-        # the index-based mutations below rely on.
-        db = _graph_db(enable_delta_iteration=True,
-                       enable_delta_fusion=False)
-        sql = sssp_query(source=1, iterations=5)
+        # A fused delta step over a no-WHERE (rename) body: no dup check.
+        db = _graph_db(enable_delta_iteration=True)
+        sql = pagerank_query(iterations=5)
     elif shape == "fused":
+        # A fused delta step over a WHERE (merge-by-key) body.
         db = _graph_db(enable_delta_iteration=True)
         sql = sssp_query(source=1, iterations=5)
     elif shape == "recursive":
@@ -107,10 +106,6 @@ def _first_column_ref(node):
 #
 #   iterative/where: 0 mat cte, 1 init, 2 mat work, 3 dupcheck,
 #                    4 mat merge, 5 rename, 6 inc, 7 loop, 8 ret, 9 drop
-#   delta:           0 mat cte, 1 init, 2 gate, 3 partition, 4 mat dwork,
-#                    5 dupcheck, 6 apply, 7 snapshot, 8 mat work,
-#                    9 dupcheck, 10 mat merge, 11 rename, 12 capture,
-#                    13 inc, 14 loop, 15 ret, 16 drop
 #   fused:           0 mat cte, 1 init, 2 fused, 3 snapshot, 4 mat work,
 #                    5 dupcheck, 6 mat merge, 7 rename, 8 capture,
 #                    9 inc, 10 loop, 11 ret, 12 drop
@@ -123,11 +118,11 @@ def _mut_jump_past_end(program):
 
 
 def _mut_unpatched_delta_jump(program):
-    program.steps[2].jump_full = -1
+    program.steps[2].jump_done = -1
 
 
 def _mut_drop_delta_capture(program):
-    program.steps[12] = DropStep([])
+    program.steps[8] = DropStep([])
 
 
 def _mut_drop_init(program):
@@ -157,7 +152,7 @@ def _mut_drop_live_table(program):
 
 
 def _mut_orphan_snapshot(program):
-    program.steps[7].target = "__orphan"
+    program.steps[3].target = "__orphan"
 
 
 def _mut_materialize_arity(program):
@@ -183,11 +178,6 @@ def _mut_unknown_loop_id(program):
     program.steps[6].loop_id = 7
 
 
-def _mut_swap_gate_partition(program):
-    program.steps[2], program.steps[3] = \
-        program.steps[3], program.steps[2]
-
-
 def _mut_merge_feeds_wrong_working(program):
     program.steps[4].working = "__other"
 
@@ -210,22 +200,37 @@ def _mut_fused_jump_targets_diverge(program):
     program.steps[2].jump_done = program.steps[2].jump_full
 
 
-def _mut_fused_coexists_with_quartet(program):
-    from repro.plan.program import DeltaPartitionStep
-    program.steps[3] = DeltaPartitionStep(program.steps[2].spec)
-
-
 def _mut_fused_capture_missing(program):
-    program.steps[8] = DropStep([])
+    # The capture step leaves the loop body (trading places with the
+    # ReturnStep), so the body no longer carries one.
+    program.steps[8], program.steps[11] = \
+        program.steps[11], program.steps[8]
+
+
+def _mut_fused_step_missing(program):
+    program.steps[2] = DropStep([])
+
+
+def _mut_capture_before_fused(program):
+    program.steps[2], program.steps[8] = \
+        program.steps[8], program.steps[2]
+
+
+def _mut_fused_skips_full_body(program):
+    program.steps[2].jump_full = program.steps[2].jump_to
+
+
+def _mut_fused_exits_onto_capture(program):
+    program.steps[2].jump_to = program.steps[2].jump_done = 8
 
 
 MUTATIONS = [
     ("jump_past_end", "iterative", _mut_jump_past_end,
      "past the end"),
-    ("unpatched_delta_jump", "delta", _mut_unpatched_delta_jump,
+    ("unpatched_delta_jump", "fused", _mut_unpatched_delta_jump,
      "never patched"),
-    ("missing_delta_capture", "delta", _mut_drop_delta_capture,
-     "DeltaCaptureStep"),
+    ("missing_delta_capture", "fused", _mut_drop_delta_capture,
+     "DeltaCaptureSteps, expected exactly 1"),
     ("missing_init_loop", "iterative", _mut_drop_init,
      "InitLoopStep"),
     ("missing_increment", "iterative", _mut_drop_increment,
@@ -238,7 +243,7 @@ MUTATIONS = [
      "reads '__ghost'"),
     ("drop_live_table", "iterative", _mut_drop_live_table,
      "drops live result"),
-    ("orphan_snapshot", "delta", _mut_orphan_snapshot,
+    ("orphan_snapshot", "fused", _mut_orphan_snapshot,
      "never consumed"),
     ("materialize_arity", "iterative", _mut_materialize_arity,
      "column names"),
@@ -250,8 +255,6 @@ MUTATIONS = [
      "without merging"),
     ("unknown_loop_id", "iterative", _mut_unknown_loop_id,
      "unknown loop 7"),
-    ("swap_gate_partition", "delta", _mut_swap_gate_partition,
-     "out of order"),
     ("merge_feeds_wrong_working", "recursive",
      _mut_merge_feeds_wrong_working, "RecursiveMergeStep"),
     ("fused_unpatched_jump", "fused", _mut_fused_unpatched_jump,
@@ -262,10 +265,16 @@ MUTATIONS = [
      "diverge from the DeltaSpec"),
     ("fused_jump_targets_diverge", "fused",
      _mut_fused_jump_targets_diverge, "diverge; both must target"),
-    ("fused_coexists_with_quartet", "fused",
-     _mut_fused_coexists_with_quartet, "coexists"),
     ("fused_capture_missing", "fused", _mut_fused_capture_missing,
-     "DeltaCaptureStep"),
+     "DeltaCaptureSteps, expected exactly 1"),
+    ("fused_step_missing", "fused", _mut_fused_step_missing,
+     "DeltaFusedSteps, expected exactly 1"),
+    ("capture_before_fused", "fused", _mut_capture_before_fused,
+     "must precede the capture step"),
+    ("fused_skips_full_body", "fused", _mut_fused_skips_full_body,
+     "must enter the full body"),
+    ("fused_exits_onto_capture", "fused", _mut_fused_exits_onto_capture,
+     "must skip past the capture step"),
 ]
 
 
