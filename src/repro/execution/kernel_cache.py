@@ -12,18 +12,23 @@ removes them:
   dictionary (sorted uniques + dense codes) keyed by the column's
   :attr:`~repro.storage.column.Column.version`.  Columns are immutable —
   every mutation in the engine constructs a new column with a fresh
-  version — so a version-keyed entry can never be stale.  DML still
+  version — so a version-keyed entry can never be stale.  A dictionary
+  is admitted on its *second* request for the same version: columns a
+  loop rebuilds every iteration (GROUP BY keys, working tables) are
+  factorized once and never asked for again, so caching them on first
+  sight only filled the cache with dead entries.  DML still
   *invalidates* the replaced table's entries eagerly (memory hygiene and
   belt-and-braces; see :mod:`repro.engine.dml`).
 
 * **Join build-side indexes** — for an equi join the executor needs the
-  build side factorized *and sorted*.  When the build input is
+  build side factorized and laid out as a CSR probe index (per-code
+  offsets plus the rows in code order).  When the build input is
   loop-invariant (base tables, and the COMMON#k blocks the common-result
   rewrite materializes before the loop) its columns are the same objects
-  every iteration, so the whole index — dictionaries, mixed-radix codes,
-  sort order — is cached keyed by the tuple of column versions and
-  reused.  The probe side is encoded *against* the build dictionaries
-  with a binary search instead of the concat-and-re-unique of both sides.
+  every iteration, so the whole index — dictionaries, combined codes,
+  offsets — is cached keyed by the tuple of column versions and reused.
+  The probe side is encoded *against* the build dictionaries instead of
+  the concat-and-re-unique of both sides.
 
 * **Incremental distinct state** — UNION DISTINCT fixed-point loops
   deduplicated each candidate delta by re-encoding ``result ++
@@ -51,6 +56,31 @@ from ..storage import Column
 
 # Mixed-radix combination of per-column codes must stay inside int64.
 _RADIX_LIMIT = 1 << 62
+
+# The join and group kernels index arrays as long as the code space
+# (presence bitmaps, CSR offsets, lookup tables), so every code that
+# reaches them lies in [0, dense_limit(rows)): at most DENSE_FACTOR slots
+# per row, plus a floor so that tiny inputs never pay to re-densify.
+DENSE_FACTOR = 4
+DENSE_FLOOR = 1024
+
+
+def dense_limit(rows: int) -> int:
+    """Largest code space the direct-address kernels accept for an input
+    of ``rows`` rows."""
+    return DENSE_FACTOR * rows + DENSE_FLOOR
+
+
+def densify(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber the valid (>= 0) entries of ``codes`` to [0, n_distinct),
+    keeping their order; -1 stays -1.
+
+    Returns (sorted distinct valid codes, renumbered codes)."""
+    valid = codes >= 0
+    uniques, inverse = np.unique(codes[valid], return_inverse=True)
+    dense = np.full(len(codes), -1, dtype=np.int64)
+    dense[valid] = inverse
+    return uniques, dense
 
 
 def _comparable_values(values: np.ndarray) -> np.ndarray:
@@ -104,18 +134,50 @@ class ColumnDictionary:
         return int(self.uniques.nbytes) + int(self.codes.nbytes)
 
 
+def _dense_integer_dictionary(values: np.ndarray
+                              ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """``np.unique(values, return_inverse=True)`` by counting, for integer
+    values whose span fits :func:`dense_limit`; None otherwise."""
+    low, high = int(values.min()), int(values.max())
+    span = high - low + 1  # Python ints: cannot overflow
+    if span > dense_limit(len(values)):
+        return None
+    # The span is small, so the differences fit the dtype (int64
+    # wrap-around yields the exact offset even when ``low`` is its min).
+    offsets = values - values.dtype.type(low)
+    present = np.zeros(span, dtype=np.bool_)
+    present[offsets] = True
+    rank = np.cumsum(present, dtype=np.int64) - 1
+    uniques = np.flatnonzero(present).astype(values.dtype) \
+        + values.dtype.type(low)
+    return uniques, rank[offsets]
+
+
 def build_dictionary(column: Column) -> ColumnDictionary:
-    """Factorize one column (the uncached kernel)."""
+    """Factorize one column (the uncached kernel).
+
+    Integer columns whose value span is within :func:`dense_limit` are
+    factorized by a presence bitmap and a lookup table; the sorted
+    uniques and codes equal ``np.unique``'s.  FLOAT, TEXT, BOOLEAN and
+    sparse integer columns sort."""
     count = len(column)
-    codes = np.full(count, -1, dtype=np.int64)
     valid = ~column.mask
     has_nulls = bool(column.mask.any())
-    if valid.any():
-        values = _comparable_values(column.data[valid])
-        uniques, inverse = np.unique(values, return_inverse=True)
+    if not valid.any():
+        return ColumnDictionary(np.empty(0, dtype=np.int64),
+                                np.full(count, -1, dtype=np.int64),
+                                has_nulls)
+    values = column.data[valid] if has_nulls else column.data
+    dense = (_dense_integer_dictionary(values)
+             if values.dtype.kind in "iu" else None)
+    if dense is None:
+        dense = np.unique(_comparable_values(values), return_inverse=True)
+    uniques, inverse = dense
+    if has_nulls:
+        codes = np.full(count, -1, dtype=np.int64)
         codes[valid] = inverse
     else:
-        uniques = np.empty(0, dtype=np.int64)
+        codes = inverse.astype(np.int64, copy=False)
     return ColumnDictionary(uniques, codes, has_nulls)
 
 
@@ -136,28 +198,32 @@ def probe_dictionary(dictionary: ColumnDictionary,
 
 class JoinIndex:
     """A reusable equi-join build side: per-column dictionaries, combined
-    mixed-radix codes, and the sorted order probe lookups binary-search.
+    build codes, and their CSR probe index (``probe_index``, the
+    ``(offsets, positions)`` pair :func:`~repro.execution.kernels.
+    equi_join_pairs` accepts).
+
+    Combined codes are mixed-radix over the per-column codes.  When the
+    radix product exceeds :func:`dense_limit` of the build rows, the
+    build codes are re-densified — ``key_uniques`` keeps the sorted
+    mixed-radix keys that occur — and probe codes are mapped through
+    them, so the CSR offsets stay O(build rows).
     """
 
-    __slots__ = ("dictionaries", "radices", "codes", "sorted_codes",
-                 "sorted_positions")
+    __slots__ = ("dictionaries", "radices", "key_uniques", "codes",
+                 "probe_index")
 
     def __init__(self, dictionaries: list[ColumnDictionary],
-                 radices: list[int], codes: np.ndarray):
+                 radices: list[int], codes: np.ndarray,
+                 key_uniques: Optional[np.ndarray] = None):
+        # Imported here: kernels imports this module.  Looked up at call
+        # time so instrumentation that wraps the kernel sees this build.
+        from . import kernels
         codes.setflags(write=False)
         self.dictionaries = dictionaries
         self.radices = radices
+        self.key_uniques = key_uniques
         self.codes = codes
-        valid = codes >= 0
-        positions = np.nonzero(valid)[0]
-        valid_codes = codes[valid]
-        order = np.argsort(valid_codes, kind="stable")
-        self.sorted_codes = valid_codes[order]
-        self.sorted_positions = positions[order]
-
-    @property
-    def sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.sorted_codes, self.sorted_positions
+        self.probe_index = kernels.build_probe_index(codes)
 
     def probe(self, columns: Sequence[Column]) -> np.ndarray:
         """Encode probe-side key columns into this index's code space."""
@@ -172,13 +238,20 @@ class JoinIndex:
             combined = combined * radix + codes
             combined[bad] = -1
         assert combined is not None
+        if self.key_uniques is not None:
+            valid = combined >= 0
+            positions, found = _lookup_sorted(self.key_uniques,
+                                              combined[valid])
+            combined[valid] = np.where(found, positions, -1)
         return combined
 
     def nbytes(self) -> int:
         payload = sum(d.nbytes() for d in self.dictionaries)
-        return payload + int(self.codes.nbytes) \
-            + int(self.sorted_codes.nbytes) \
-            + int(self.sorted_positions.nbytes)
+        if self.key_uniques is not None:
+            payload += int(self.key_uniques.nbytes)
+        offsets, positions = self.probe_index
+        return payload + int(self.codes.nbytes) + int(offsets.nbytes) \
+            + int(positions.nbytes)
 
 
 def build_join_index(columns: Sequence[Column],
@@ -207,7 +280,10 @@ def build_join_index(columns: Sequence[Column],
         combined = combined * radix + dictionary.codes
         combined[bad] = -1
     assert combined is not None
-    return JoinIndex(dictionaries, radices, combined)
+    key_uniques = None
+    if combined_card > dense_limit(len(combined)):
+        key_uniques, combined = densify(combined)
+    return JoinIndex(dictionaries, radices, combined, key_uniques)
 
 
 class KernelCache:
@@ -236,6 +312,9 @@ class KernelCache:
         # index construction for it entirely (it would never be reused).
         self._index_candidates: OrderedDict[tuple[int, ...], bool] = \
             OrderedDict()
+        # Column versions whose dictionary was built once and not kept;
+        # the same second-sighting admission as the indexes.
+        self._dictionary_candidates: OrderedDict[int, bool] = OrderedDict()
         self._max_dictionaries = max_dictionaries
         self._max_indexes = max_indexes
         self.stats = stats
@@ -253,6 +332,14 @@ class KernelCache:
             if self.stats is not None:
                 self.stats.kernel_cache_misses += 1
             entry = build_dictionary(column)
+            if self._dictionary_candidates.pop(column.version, None) \
+                    is None:
+                # First sighting: hand the dictionary out uncached.
+                self._dictionary_candidates[column.version] = True
+                while len(self._dictionary_candidates) \
+                        > 4 * self._max_dictionaries:
+                    self._dictionary_candidates.popitem(last=False)
+                return entry
             self._dictionaries[column.version] = entry
             while len(self._dictionaries) > self._max_dictionaries:
                 self._dictionaries.popitem(last=False)
@@ -305,6 +392,7 @@ class KernelCache:
             for version in versions:
                 if self._dictionaries.pop(version, None) is not None:
                     dropped += 1
+                self._dictionary_candidates.pop(version, None)
             for key in [k for k in self._indexes
                         if any(v in versions for v in k)]:
                 del self._indexes[key]
@@ -326,6 +414,7 @@ class KernelCache:
     def clear(self) -> None:
         with self._lock:
             self._dictionaries.clear()
+            self._dictionary_candidates.clear()
             self._indexes.clear()
             self._index_candidates.clear()
 

@@ -5,11 +5,18 @@ a single int64 code per row via per-column factorization and mixed-radix
 combination.  Join keys encode NULL as -1 (never matches); grouping keys
 encode NULL as an ordinary bucket (SQL groups NULLs together).
 
+Codes are *dense*: every valid code lies in [0, K) with K at most
+:func:`~repro.execution.kernel_cache.dense_limit` of the row count, so the
+join and group kernels address arrays of length K directly — a CSR probe
+(``offsets[c]`` to ``offsets[c + 1]``) instead of a binary search, and a
+presence bitmap instead of a sort.
+
 Every factorizing kernel takes an optional :class:`KernelCache`: when
-given, the per-column dictionary (the ``np.unique`` result) is memoized
-keyed by the column's version, so loop-invariant columns are factorized
-once per loop instead of once per iteration.  Cached code arrays are
-read-only; kernels that combine codes always allocate fresh output.
+given, the per-column dictionary (sorted uniques + codes) is memoized
+keyed by the column's version from its second request on, so
+loop-invariant columns are factorized twice per loop instead of once
+per iteration.  Dictionary code arrays are read-only; kernels that
+combine codes always allocate fresh output.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..storage import Column
-from .kernel_cache import KernelCache, build_dictionary
+from .kernel_cache import KernelCache, build_dictionary, dense_limit, densify
 
 
 def factorize(column: Column, nulls_match: bool,
@@ -55,93 +62,126 @@ def factorize(column: Column, nulls_match: bool,
 
 def encode_keys(columns: Sequence[Column], nulls_match: bool,
                 cache: Optional[KernelCache] = None) -> np.ndarray:
-    """Combine key columns into one int64 code per row (-1 = no-match)."""
+    """Combine key columns into one int64 code per row (-1 = no-match).
+
+    Valid codes stay below ``dense_limit(rows)``: whenever the mixed-radix
+    product outgrows it, the combined codes are re-densified (order
+    preserved) before the next column is folded in.  That bound is far
+    below 2**62, so it also keeps the combination inside int64."""
     if not columns:
         raise ValueError("encode_keys needs at least one column")
+    limit = dense_limit(len(columns[0]))
     combined = None
     for column in columns:
         codes, cardinality = factorize(column, nulls_match, cache)
+        radix = max(cardinality, 1)
         if combined is None:
-            combined = codes
-            combined_card = max(cardinality, 1)
+            combined, combined_card = codes, radix
             continue
         bad = (combined < 0) | (codes < 0)
-        combined = combined * max(cardinality, 1) + codes
+        combined = combined * radix + codes
         combined[bad] = -1
-        combined_card *= max(cardinality, 1)
-        if combined_card > (1 << 62):
-            # Mixed-radix overflow: re-densify before continuing.
-            valid = combined >= 0
-            if valid.any():
-                _, inverse = np.unique(combined[valid], return_inverse=True)
-                combined = combined.copy()
-                combined[valid] = inverse
-                combined_card = int(inverse.max()) + 1 if len(inverse) else 1
-            else:
-                combined_card = 1
+        combined_card *= radix
+        if combined_card > limit:
+            uniques, combined = densify(combined)
+            combined_card = max(len(uniques), 1)
     return combined
+
+
+def _stable_code_order(codes: np.ndarray, size: int) -> np.ndarray:
+    """``np.argsort(codes, kind="stable")`` for codes in [0, size).
+
+    An LSD radix sort over 16-bit digits: numpy's stable sort of 16-bit
+    keys is itself a radix sort, several times faster than its int64
+    merge sort."""
+    order = np.argsort(codes.astype(np.uint16), kind="stable")
+    shift = 16
+    while size > (1 << shift):
+        digit = (codes[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 def build_probe_index(codes: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort a build side's codes for binary-search probing.
+    """CSR layout of a build side's codes for direct-address probing.
 
-    Returns (sorted_codes, sorted_positions) with -1 (no-match) codes
-    dropped — the shape :func:`equi_join_pairs` accepts as
-    ``right_sorted``.
+    Returns (offsets, positions): the rows holding code ``c`` are
+    ``positions[offsets[c]:offsets[c + 1]]``, in row order.  -1
+    (no-match) codes are dropped.  This is the shape
+    :func:`equi_join_pairs` accepts as ``right_index``.
     """
     valid = codes >= 0
-    positions = np.nonzero(valid)[0]
-    valid_codes = codes[valid]
-    order = np.argsort(valid_codes, kind="stable")
-    return valid_codes[order], positions[order]
+    if valid.all():
+        positions, valid_codes = None, codes
+    else:
+        positions = np.flatnonzero(valid)
+        valid_codes = codes[valid]
+    size = int(valid_codes.max()) + 1 if len(valid_codes) else 0
+    offsets = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(valid_codes, minlength=size), out=offsets[1:])
+    order = _stable_code_order(valid_codes, size)
+    return offsets, order if positions is None else positions[order]
 
 
 def equi_join_pairs(left_codes: np.ndarray,
                     right_codes: np.ndarray,
-                    right_sorted: tuple[np.ndarray, np.ndarray] | None = None
+                    right_index: tuple[np.ndarray, np.ndarray] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
     """All matching (left_row, right_row) index pairs for equal codes.
 
     Codes of -1 never match.  Pairs are grouped by left row in left-row
     order, which downstream outer-join padding relies on.
 
-    ``right_sorted`` is an optional prebuilt (sorted_codes,
-    sorted_positions) pair for the right side — a cached
+    ``right_index`` is an optional prebuilt :func:`build_probe_index`
+    result for the right side — a cached
     :class:`~repro.execution.kernel_cache.JoinIndex` supplies it so a
-    loop-invariant build side is sorted once per loop, not per iteration.
+    loop-invariant build side is indexed once per loop, not per
+    iteration.  Each probe row then costs two offset lookups.
     """
-    if right_sorted is not None:
-        sorted_codes, sorted_positions = right_sorted
-    else:
-        sorted_codes, sorted_positions = build_probe_index(right_codes)
+    if right_index is None:
+        right_index = build_probe_index(right_codes)
+    offsets, positions = right_index
+    size = len(offsets) - 1
+    if not size or not len(left_codes):
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
-    valid_left = left_codes >= 0
-    lo = np.searchsorted(sorted_codes, left_codes, "left")
-    hi = np.searchsorted(sorted_codes, left_codes, "right")
-    counts = np.where(valid_left, hi - lo, 0)
+    probing = (left_codes >= 0) & (left_codes < size)
+    slots = np.where(probing, left_codes, 0)
+    lo = offsets[slots]
+    counts = offsets[slots + 1] - lo
+    counts[~probing] = 0
 
-    total = int(counts.sum())
     left_idx = np.repeat(np.arange(len(left_codes), dtype=np.int64), counts)
-    if total == 0:
+    if not len(left_idx):
         return left_idx, np.empty(0, dtype=np.int64)
-    starts = np.repeat(lo, counts)
-    cumulative = np.cumsum(counts)
-    first_of_row = np.repeat(cumulative - counts, counts)
-    offsets = np.arange(total, dtype=np.int64) - first_of_row
-    right_idx = sorted_positions[starts + offsets]
+    # Output k is match (k - first output of its left row) of that row,
+    # which sits at positions[lo + that rank].
+    shift = lo - (np.cumsum(counts) - counts)
+    right_idx = positions[np.arange(len(left_idx), dtype=np.int64)
+                          + np.repeat(shift, counts)]
     return left_idx, right_idx
 
 
 def group_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense group ids plus the first-row index of each group.
 
-    ``codes`` must have no -1 entries (use nulls_match=True encoding).
+    ``codes`` must be non-negative (nulls_match=True encoding) and dense,
+    as :func:`encode_keys` returns them.  Groups are numbered in code
+    order by a presence bitmap, so the result equals ``np.unique(codes,
+    return_index=True, return_inverse=True)``'s inverse and index.
     """
-    uniques, first_index, inverse = np.unique(
-        codes, return_index=True, return_inverse=True)
-    del uniques
-    return inverse.astype(np.int64), first_index.astype(np.int64)
+    count = len(codes)
+    if not count:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    present = np.zeros(int(codes.max()) + 1, dtype=np.bool_)
+    present[codes] = True
+    rank = np.cumsum(present, dtype=np.int64) - 1
+    gids = rank[codes]
+    first_index = np.full(int(rank[-1]) + 1, count, dtype=np.int64)
+    np.minimum.at(first_index, gids, np.arange(count, dtype=np.int64))
+    return gids, first_index
 
 
 def distinct_indices(columns: Sequence[Column],

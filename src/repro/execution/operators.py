@@ -227,14 +227,15 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     """Codes for both sides of an equi join in one shared space.
 
     Preferred path: treat the right side as the build side — factorize it
-    into per-column dictionaries (memoized by the kernel cache, so a
-    loop-invariant build input is factorized and sorted once per loop)
-    and binary-search the probe side against them.  Probe values absent
-    from the build dictionaries cannot match and encode as -1, so the
-    resulting pairs are identical to the joint-encoding fallback, which
-    remains for mixed-radix overflow and the cache-off configuration.
+    into per-column dictionaries and a CSR probe index (memoized by the
+    kernel cache, so a loop-invariant build input is indexed once per
+    loop) and encode the probe side against its dictionaries.  Probe
+    values absent from the build dictionaries cannot match and encode as
+    -1, so the resulting pairs are identical to the joint-encoding
+    fallback, which remains for mixed-radix overflow and the cache-off
+    configuration.
 
-    Returns (left_codes, right_codes, right_sorted-or-None).
+    Returns (left_codes, right_codes, right_index-or-None).
     """
     from ..types import common_type
     casted_left, casted_right = [], []
@@ -248,7 +249,7 @@ def _encode_join_sides(left_keys: list[Column], right_keys: list[Column],
     if cache is not None:
         index = cache.join_index(casted_right)
         if index is not None:
-            return index.probe(casted_left), index.codes, index.sorted
+            return index.probe(casted_left), index.codes, index.probe_index
     # Joint encoding: the concatenated key columns are ephemeral, so
     # memoizing their dictionaries would only pollute the cache.
     joint = [lk.concat(rk) for lk, rk in zip(casted_left, casted_right)]
@@ -261,9 +262,9 @@ def _equi_pairs(equi, left: Frame, right: Frame,
                 ctx: ExecutionContext) -> tuple[np.ndarray, np.ndarray]:
     left_keys = [evaluate(a, left) for a, _ in equi]
     right_keys = [evaluate(b, right) for _, b in equi]
-    left_codes, right_codes, right_sorted = _encode_join_sides(
+    left_codes, right_codes, right_index = _encode_join_sides(
         left_keys, right_keys, ctx)
-    return equi_join_pairs(left_codes, right_codes, right_sorted)
+    return equi_join_pairs(left_codes, right_codes, right_index)
 
 
 def _execute_join(op: LogicalJoin, ctx: ExecutionContext) -> Frame:
@@ -395,16 +396,13 @@ def _execute_set_difference(op: LogicalSetDifference,
     if not joint:
         return left.slice(0, 0)
     codes = encode_keys(joint, nulls_match=True)
-    left_codes = codes[:left.num_rows]
-    right_sorted = np.sort(codes[left.num_rows:])
-
-    positions = np.searchsorted(right_sorted, left_codes)
-    inside = positions < len(right_sorted)
-    clipped = np.where(inside, positions, 0)
-    in_right = (inside & (right_sorted[clipped] == left_codes)
-                if len(right_sorted)
-                else np.zeros(left.num_rows, dtype=np.bool_))
-    keep = in_right if op.intersect else ~in_right
+    # Membership by a presence bitmap over the (dense) joint codes.
+    in_right = np.zeros(int(codes.max()) + 1 if len(codes) else 0,
+                        dtype=np.bool_)
+    in_right[codes[left.num_rows:]] = True
+    keep = in_right[codes[:left.num_rows]]
+    if not op.intersect:
+        keep = ~keep
     filtered = left.filter(keep)
     if not filtered.columns:
         return filtered

@@ -116,10 +116,10 @@ def count_changed_rows(previous: Table, current: Table,
     in ``previous``) count as changed.  NULL-to-NULL is *not* a change
     (IS DISTINCT FROM semantics).
 
-    With a kernel cache, the current key's dictionary (already memoized
-    by this iteration's duplicate check) is reused and the previous key
-    is probed against it, instead of concatenating and re-encoding
-    previous+current from scratch.  Keys present only in ``previous``
+    With a kernel cache, the current key's dictionary comes from the
+    cache (a hit once the same column was requested twice) and the
+    previous key is probed against it, instead of concatenating and
+    re-encoding previous+current from scratch.  Keys present only in ``previous``
     encode as -1, which is exactly right: they pair with nothing, and
     only unmatched *current* rows count as changes.
     """

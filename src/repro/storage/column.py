@@ -137,11 +137,16 @@ class Column:
         pad unmatched probe rows.
         """
         indices = np.asarray(indices, dtype=np.int64)
+        if not len(indices) or indices.min() >= 0:
+            # Inner gather: no NULL padding to emit.  ``ndarray.take``
+            # gathers faster than fancy indexing, with the same result.
+            return Column(self.sql_type, self.data.take(indices),
+                          self.mask.take(indices))
         null_out = indices < 0
         safe = np.where(null_out, 0, indices)
         if len(self.data):
-            data = self.data[safe]
-            mask = self.mask[safe] | null_out
+            data = self.data.take(safe)
+            mask = self.mask.take(safe) | null_out
         else:
             # Gathering from an empty column only makes sense if every
             # index demands a NULL.

@@ -152,7 +152,8 @@ GUARDS: tuple[GuardSpec, ...] = (
         cls="KernelCache",
         lock_attr="_lock",
         level=LEVEL_CACHE,
-        attrs=("_dictionaries", "_indexes", "_index_candidates"),
+        attrs=("_dictionaries", "_dictionary_candidates", "_indexes",
+               "_index_candidates"),
         # Even lookups mutate (LRU move_to_end), so every access needs
         # the lock — this is the exact shape of the PR 9 check-then-
         # delete race the bench storm caught.

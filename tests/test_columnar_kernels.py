@@ -126,8 +126,8 @@ class TestEquiJoin:
         # Encode both sides jointly so equal values share codes.
         joint = encode_keys([left.concat(right)], nulls_match=False)
         left_codes, right_codes = joint[:len(left)], joint[len(left):]
-        right_sorted = build_probe_index(right_codes) if prebuilt else None
-        li, ri = equi_join_pairs(left_codes, right_codes, right_sorted)
+        right_index = build_probe_index(right_codes) if prebuilt else None
+        li, ri = equi_join_pairs(left_codes, right_codes, right_index)
         got = sorted(zip(li.tolist(), ri.tolist()))
         assert got == self.reference_pairs(left, right)
         # Pairs must arrive grouped by left row in left-row order.

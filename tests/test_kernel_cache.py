@@ -47,11 +47,20 @@ class TestColumnDictionary:
     def test_hit_on_same_column(self):
         cache = KernelCache()
         column = Column.from_values(SqlType.INTEGER, [3, 1, 3, None])
-        first = cache.dictionary(column)
-        second = cache.dictionary(column)
-        assert first is second
-        assert first.cardinality == 2
-        assert first.has_nulls
+        cache.dictionary(column)            # first sighting: not kept
+        second = cache.dictionary(column)   # second sighting: admitted
+        third = cache.dictionary(column)    # version-keyed hit
+        assert second is third
+        assert third.cardinality == 2
+        assert third.has_nulls
+
+    def test_first_sighting_is_not_cached(self):
+        cache = KernelCache()
+        column = Column.from_values(SqlType.INTEGER, [1, 2, 1])
+        entry = cache.dictionary(column)
+        assert entry.cardinality == 2
+        assert len(cache._dictionaries) == 0
+        assert cache.nbytes() == 0
 
     def test_miss_on_equal_but_distinct_column(self):
         cache = KernelCache()
@@ -63,22 +72,27 @@ class TestColumnDictionary:
     def test_cached_codes_are_read_only(self):
         cache = KernelCache()
         column = Column.from_values(SqlType.INTEGER, [1, 2, 1])
-        entry = cache.dictionary(column)
-        with pytest.raises(ValueError):
-            entry.codes[0] = 99
+        for entry in (cache.dictionary(column), cache.dictionary(column)):
+            with pytest.raises(ValueError):
+                entry.codes[0] = 99
 
     def test_invalidate_drops_entry(self):
         cache = KernelCache()
         column = Column.from_values(SqlType.INTEGER, [1, 2])
         cache.dictionary(column)
+        cache.dictionary(column)
         assert cache.invalidate_columns([column]) == 1
         assert cache.invalidate_columns([column]) == 0
+        # The candidate mark went too: the next request starts over.
+        cache.dictionary(column)
+        assert len(cache._dictionaries) == 0
 
     def test_lru_eviction(self):
         cache = KernelCache(max_dictionaries=2)
         columns = [Column.from_values(SqlType.INTEGER, [i])
                    for i in range(3)]
         for column in columns:
+            cache.dictionary(column)
             cache.dictionary(column)
         assert len(cache._dictionaries) == 2
 
@@ -338,10 +352,12 @@ class TestObservability:
     def test_dictionary_hits_across_statements(self):
         db = _graph_db([(1, 2), (1, 3), (2, 3)])
         sql = "SELECT a, COUNT(*) FROM edge GROUP BY a"
-        db.execute(sql)  # miss: builds the grouping key's dictionary
-        before = db.stats.kernel_cache_hits
+        db.execute(sql)  # first sighting: built, not kept
+        assert len(db.kernel_cache._dictionaries) == 0
+        db.execute(sql)  # second sighting of the same column: admitted
+        assert db.stats.kernel_cache_hits == 0
         db.execute(sql)  # same column object: version-keyed hit
-        assert db.stats.kernel_cache_hits > before
+        assert db.stats.kernel_cache_hits > 0
 
     def test_disabled_cache_stays_cold(self):
         db = _graph_db([(1, 2), (2, 3), (3, 4)], cache_on=False)

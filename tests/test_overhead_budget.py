@@ -3,17 +3,24 @@
 Tracing is opt-in; when it *is* on, span bookkeeping plus profile
 aggregation must stay a small fixed fraction of the untraced
 (NULL_TRACER) runtime on an execution-dominated workload — otherwise
-EXPLAIN ANALYZE stops being usable on real queries.  Measured locally
-the ratio sits near 1.10 (see EXPERIMENTS.md); the budget is 1.35 to
-absorb CI timing noise while still catching accidental per-row or
-per-kernel span emission (which blows the ratio past 2x immediately).
+EXPLAIN ANALYZE stops being usable on real queries.
+
+The defect that breaks the budget is accidental per-row or per-kernel
+span emission.  Tier-1 catches it deterministically: a statement's span
+count must be O(program steps) — the same on a 4x larger graph and a
+small multiple of the steps executed.  The wall-clock ratio itself
+(traced / untraced <= 1.35; measured near 1.10, see EXPERIMENTS.md) is
+timing-dependent, so it runs only where ``REPRO_WALLCLOCK_GATES=1`` is
+set: the CI perf-gate job.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import time
+from collections import Counter
 
 import pytest
 
@@ -30,13 +37,16 @@ OVERHEAD_BUDGET = 1.35
 REPEATS = 7
 
 
-def build_db(tracing: bool) -> Database:
+WALLCLOCK_GATES = os.environ.get("REPRO_WALLCLOCK_GATES") == "1"
+
+
+def build_db(tracing: bool, edges=EDGES) -> Database:
     db = Database(SessionOptions(enable_tracing=tracing,
                                  enable_delta_iteration=True))
     db.create_table("edges", [("src", SqlType.INTEGER),
                               ("dst", SqlType.INTEGER),
                               ("weight", SqlType.FLOAT)])
-    db.load_rows("edges", EDGES)
+    db.load_rows("edges", edges)
     return db
 
 
@@ -51,8 +61,38 @@ def run_once(tracing: bool) -> float:
     return time.perf_counter() - start
 
 
+def span_kinds(edges) -> Counter:
+    """Spans of one traced PageRank statement, counted by kind."""
+    db = build_db(tracing=True, edges=edges)
+    db.execute(SQL)
+    trace = json.loads(db.trace_json())
+    aggregate_profile(trace)  # the profiling half of the pipeline
+    kinds: Counter = Counter()
+    stack = [trace["root"]]
+    while stack:
+        span = stack.pop()
+        kinds[span["kind"]] += 1
+        stack.extend(span.get("children", ()))
+    return kinds
+
+
 @pytest.mark.perf_smoke
 def test_tracing_and_profiling_within_budget():
+    small = span_kinds(EDGES)
+    large = span_kinds(generate_edges(dblp_like(nodes=2000, seed=21)))
+    # Span emission does not scale with rows ...
+    assert small == large
+    # ... and stays a small multiple of the program steps executed: one
+    # span per step, plus per-iteration and per-phase bookkeeping.
+    assert small["step"] > 0
+    assert sum(small.values()) <= 2 * small["step"], small
+
+
+@pytest.mark.perf_smoke
+@pytest.mark.skipif(not WALLCLOCK_GATES,
+                    reason="wall-clock gate; set REPRO_WALLCLOCK_GATES=1 "
+                           "(the CI perf-gate job does)")
+def test_tracing_wall_clock_within_budget():
     # Interleave the two variants so clock drift and thermal effects
     # land on both sides equally; compare medians.
     run_once(False), run_once(True)  # warmup
